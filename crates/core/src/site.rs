@@ -170,7 +170,10 @@ pub fn uninline(f: &mut Func, site: &InlineSite) {
 /// Where the inlined body's exit edges currently land: `cont` itself, or the
 /// region-begin block that took over `cont`'s incoming edges.
 fn find_body_exit_target(f: &Func, site: &InlineSite) -> BlockId {
-    for &b in &site.blocks {
+    // Block order, so the chosen exit does not depend on hash order.
+    let mut blocks: Vec<BlockId> = site.blocks.iter().copied().collect();
+    blocks.sort();
+    for b in blocks {
         if f.block(b).dead {
             continue;
         }

@@ -1,7 +1,7 @@
 //! Dominators, post-dominators, and dominance frontiers
 //! (Cooper–Harvey–Kennedy iterative algorithm).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use crate::func::Func;
 use crate::instr::BlockId;
@@ -61,15 +61,67 @@ fn intersect(idom: &[Option<usize>], mut a: usize, mut b: usize) -> usize {
     a
 }
 
+/// DFS entry/exit numbers of a tree's nodes: `a` is an ancestor of `b`
+/// (reflexively) exactly when `a`'s interval encloses `b`'s, so every
+/// dominance query is two comparisons.
+#[derive(Debug, Clone)]
+struct Intervals {
+    /// `(pre, post)` indexed by block id; `None` for blocks not in the tree.
+    span: Vec<Option<(u32, u32)>>,
+}
+
+impl Intervals {
+    /// Numbers the tree under `root`. A root of `BlockId(u32::MAX)` (the
+    /// post-dominator tree's virtual exit) is walked but not numbered.
+    fn number(root: BlockId, children: &HashMap<BlockId, Vec<BlockId>>) -> Self {
+        let mut span: Vec<Option<(u32, u32)>> = Vec::new();
+        let mut clock = 0u32;
+        let mut stack = vec![(root, false)];
+        while let Some((b, exiting)) = stack.pop() {
+            let now = clock;
+            clock += 1;
+            if exiting {
+                if let Some(Some((_, post))) = span.get_mut(b.0 as usize) {
+                    *post = now;
+                }
+                continue;
+            }
+            if b.0 != u32::MAX {
+                let i = b.0 as usize;
+                if span.len() <= i {
+                    span.resize(i + 1, None);
+                }
+                span[i] = Some((now, now));
+            }
+            stack.push((b, true));
+            for &c in children.get(&b).into_iter().flatten().rev() {
+                stack.push((c, false));
+            }
+        }
+        Intervals { span }
+    }
+
+    fn get(&self, b: BlockId) -> Option<(u32, u32)> {
+        self.span.get(b.0 as usize).copied().flatten()
+    }
+
+    /// True if `a` is `b` or an ancestor of `b`, both in the tree.
+    fn encloses(&self, a: BlockId, b: BlockId) -> bool {
+        match (self.get(a), self.get(b)) {
+            (Some((pre_a, post_a)), Some((pre_b, post_b))) => pre_a <= pre_b && post_b <= post_a,
+            _ => false,
+        }
+    }
+}
+
 /// The dominator tree of a function's CFG.
 #[derive(Debug, Clone)]
 pub struct DomTree {
     idom: HashMap<BlockId, BlockId>,
     children: HashMap<BlockId, Vec<BlockId>>,
     root: BlockId,
-    /// Depth of each node in the tree (root = 0); used for fast
-    /// `dominates` queries via ancestor walking.
-    depth: HashMap<BlockId, usize>,
+    /// Tree intervals for O(1) `dominates` queries.
+    intervals: Intervals,
 }
 
 impl DomTree {
@@ -89,22 +141,12 @@ impl DomTree {
         for c in children.values_mut() {
             c.sort();
         }
-        let mut depth = HashMap::new();
-        depth.insert(root, 0usize);
-        // BFS down the tree.
-        let mut queue = vec![root];
-        while let Some(b) = queue.pop() {
-            let d = depth[&b];
-            for &c in children.get(&b).into_iter().flatten() {
-                depth.insert(c, d + 1);
-                queue.push(c);
-            }
-        }
+        let intervals = Intervals::number(root, &children);
         DomTree {
             idom,
             children,
             root,
-            depth,
+            intervals,
         }
     }
 
@@ -125,24 +167,7 @@ impl DomTree {
 
     /// True if `a` dominates `b` (reflexive).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if a == b {
-            return true;
-        }
-        let (Some(&da), Some(mut cur)) = (self.depth.get(&a), Some(b)) else {
-            return false;
-        };
-        loop {
-            let Some(&dc) = self.depth.get(&cur) else {
-                return false;
-            };
-            if dc <= da {
-                return cur == a;
-            }
-            match self.idom(cur) {
-                Some(p) => cur = p,
-                None => return false,
-            }
-        }
+        a == b || self.intervals.encloses(a, b)
     }
 
     /// Dominator-tree preorder starting at the root.
@@ -158,10 +183,11 @@ impl DomTree {
         out
     }
 
-    /// Dominance frontiers (for SSA phi placement).
-    pub fn frontiers(&self, f: &Func) -> HashMap<BlockId, HashSet<BlockId>> {
+    /// Dominance frontiers (for SSA phi placement). Each frontier iterates
+    /// in block order, so phi placement is deterministic.
+    pub fn frontiers(&self, f: &Func) -> HashMap<BlockId, BTreeSet<BlockId>> {
         let preds = f.preds();
-        let mut df: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
+        let mut df: HashMap<BlockId, BTreeSet<BlockId>> = HashMap::new();
         for b in f.rpo() {
             let ps = preds.get(&b).cloned().unwrap_or_default();
             if ps.len() >= 2 {
@@ -190,9 +216,9 @@ impl DomTree {
 #[derive(Debug, Clone)]
 pub struct PostDomTree {
     ipdom: HashMap<BlockId, BlockId>,
-    depth: HashMap<BlockId, usize>,
-    /// Virtual exit marker: blocks whose immediate post-dominator is the
-    /// virtual exit have no entry in `ipdom` but appear in `depth`.
+    /// Intervals of the tree rooted at the virtual exit (which itself is not
+    /// numbered); blocks that never reach an exit are absent.
+    intervals: Intervals,
     exits: Vec<BlockId>,
 }
 
@@ -240,32 +266,18 @@ impl PostDomTree {
             }
         }
         order.reverse();
-        let idom = compute_idoms(&order, &rev_preds);
-        let mut depth = HashMap::new();
-        depth.insert(virt, 0usize);
-        // Depths via repeated walking (graph is small).
-        fn depth_of(
-            b: BlockId,
-            idom: &HashMap<BlockId, BlockId>,
-            depth: &mut HashMap<BlockId, usize>,
-        ) -> usize {
-            if let Some(&d) = depth.get(&b) {
-                return d;
-            }
-            let d = match idom.get(&b) {
-                Some(&p) => depth_of(p, idom, depth) + 1,
-                None => 0,
-            };
-            depth.insert(b, d);
-            d
+        let ipdom: HashMap<BlockId, BlockId> = compute_idoms(&order, &rev_preds);
+        let mut children: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+        for (&b, &p) in &ipdom {
+            children.entry(p).or_default().push(b);
         }
-        for &b in &order {
-            depth_of(b, &idom, &mut depth);
+        for c in children.values_mut() {
+            c.sort();
         }
-        let ipdom = idom.into_iter().filter(|(b, _)| *b != virt).collect();
+        let intervals = Intervals::number(virt, &children);
         PostDomTree {
             ipdom,
-            depth,
+            intervals,
             exits,
         }
     }
@@ -278,25 +290,7 @@ impl PostDomTree {
     /// True if `a` post-dominates `b` (reflexive): every path from `b` to
     /// function exit passes through `a`.
     pub fn post_dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if a == b {
-            return true;
-        }
-        let Some(&da) = self.depth.get(&a) else {
-            return false;
-        };
-        let mut cur = b;
-        loop {
-            let Some(&dc) = self.depth.get(&cur) else {
-                return false;
-            };
-            if dc <= da {
-                return cur == a;
-            }
-            match self.ipdom(cur) {
-                Some(p) => cur = p,
-                None => return false,
-            }
-        }
+        a == b || self.intervals.encloses(a, b)
     }
 
     /// Blocks that exit the function directly.

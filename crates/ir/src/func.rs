@@ -7,7 +7,7 @@ use hasp_vm::bytecode::MethodId;
 use crate::instr::{AssertId, BlockId, Inst, Op, RegionId, Term, VReg};
 
 /// A basic block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Instructions (phis, if any, come first).
     pub insts: Vec<Inst>,
@@ -49,7 +49,7 @@ impl Block {
 
 /// Metadata about one atomic region of a function. Populated by region
 /// formation (`hasp-core`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionInfo {
     /// The block whose terminator is the `RegionBegin`.
     pub begin: BlockId,
@@ -61,7 +61,7 @@ pub struct RegionInfo {
 
 /// Metadata about one assertion: where it came from, for abort diagnosis and
 /// adaptive recompilation (paper §3.2, §7).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssertInfo {
     /// The region the assert belongs to.
     pub region: RegionId,
@@ -70,7 +70,7 @@ pub struct AssertInfo {
 }
 
 /// A function under compilation: CFG plus region/assert metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Func {
     /// Name (for diagnostics).
     pub name: String,

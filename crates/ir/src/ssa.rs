@@ -52,12 +52,7 @@ pub fn construct(f: &mut Func, num_vars: u32) {
         work.sort();
         let mut has_phi: HashSet<BlockId> = HashSet::new();
         while let Some(b) = work.pop() {
-            for &d in frontiers
-                .get(&b)
-                .map(|s| s as &HashSet<BlockId>)
-                .into_iter()
-                .flatten()
-            {
+            for &d in frontiers.get(&b).into_iter().flatten() {
                 if !reachable.contains(&d) || !has_phi.insert(d) {
                     continue;
                 }

@@ -35,6 +35,9 @@ PY
 echo "== knee-sweep smoke (conflict-rate probes, checksums, governor online) =="
 cargo run --release -p hasp-experiments --bin experiments -- faults --knee --smoke
 
+echo "== compile determinism (release: repeated compiles, batched SSA repair vs per-pair reference) =="
+cargo test --release -q --test compile_determinism
+
 echo "== dispatch equivalence (release: chained dispatch vs per-uop oracle) =="
 cargo test --release -q --test dispatch_equivalence
 

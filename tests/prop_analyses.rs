@@ -1,10 +1,13 @@
 //! Property tests over the IR analyses on randomly generated reducible-ish
-//! CFGs: dominator-tree laws, post-dominator duality at exits, loop
-//! detection sanity, and SSA-construction round trips through the verifier.
+//! CFGs: dominator-tree laws, post-dominator duality at exits, dominance
+//! queries against their path definitions, loop detection sanity, and
+//! SSA-construction round trips through the verifier.
+
+use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use hasp_ir::{DomTree, Func, LoopForest, PostDomTree, Term};
+use hasp_ir::{BlockId, DomTree, Func, LoopForest, PostDomTree, Term};
 use hasp_vm::bytecode::{CmpOp, MethodId};
 
 /// Builds a random CFG: `n` blocks where block `i` branches to one or two
@@ -44,6 +47,20 @@ fn random_cfg(edges: &[(u8, u8, bool)], n: usize) -> Func {
         };
     }
     f
+}
+
+/// Blocks reachable from `from` along CFG edges without entering `avoid`
+/// (empty when `from` is `avoid`).
+fn reach_avoiding(f: &Func, from: BlockId, avoid: BlockId) -> HashSet<BlockId> {
+    let mut seen = HashSet::new();
+    let mut stack = vec![from];
+    while let Some(b) = stack.pop() {
+        if b == avoid || !seen.insert(b) {
+            continue;
+        }
+        stack.extend(f.succs(b));
+    }
+    seen
 }
 
 proptest! {
@@ -143,6 +160,64 @@ proptest! {
             // Post-order is innermost-first: members of an earlier loop that
             // share our header's blocks imply nesting consistency.
             prop_assert!(l.blocks.contains(&l.header));
+        }
+    }
+
+    #[test]
+    fn dominance_queries_match_path_definitions(
+        edges in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 0..12),
+        n in 3usize..12,
+        self_loop in any::<u8>(),
+    ) {
+        let mut f = random_cfg(&edges, n);
+        // A block that never reaches an exit (absent from the post-dominator
+        // tree) and one that is unreachable (absent from both trees).
+        let spin = f.add_block(Term::Return(None));
+        f.block_mut(spin).term = Term::Jump(spin);
+        let entered = BlockId(1 + u32::from(self_loop) % n as u32);
+        let x = hasp_ir::VReg(0);
+        f.block_mut(f.entry).term = Term::Branch {
+            op: CmpOp::Lt,
+            a: x,
+            b: x,
+            t: spin,
+            f: entered,
+            t_count: 1,
+            f_count: 1,
+        };
+        f.add_block(Term::Return(None));
+        let dt = DomTree::compute(&f);
+        let pdt = PostDomTree::compute(&f);
+        let reachable: HashSet<BlockId> = f.rpo().into_iter().collect();
+        let exits: Vec<BlockId> = reachable
+            .iter()
+            .copied()
+            .filter(|&b| f.succs(b).is_empty())
+            .collect();
+        let reaches_exit = |from: BlockId, avoid: BlockId| {
+            let r = reach_avoiding(&f, from, avoid);
+            exits.iter().any(|e| r.contains(e))
+        };
+        let none = BlockId(u32::MAX);
+        let ids: Vec<BlockId> = (0..f.block_count() as u32).map(BlockId).collect();
+        for &a in &ids {
+            for &b in &ids {
+                if a == b {
+                    continue;
+                }
+                // a dominates b: every entry-to-b path passes through a.
+                let dom = reachable.contains(&a)
+                    && reachable.contains(&b)
+                    && !reach_avoiding(&f, f.entry, a).contains(&b);
+                prop_assert_eq!(dt.dominates(a, b), dom, "dominates({}, {})", a, b);
+                // a post-dominates b: b reaches an exit, and every such path
+                // passes through a.
+                let pdom = reachable.contains(&a)
+                    && reachable.contains(&b)
+                    && reaches_exit(b, none)
+                    && !reaches_exit(b, a);
+                prop_assert_eq!(pdt.post_dominates(a, b), pdom, "post_dominates({}, {})", a, b);
+            }
         }
     }
 }
